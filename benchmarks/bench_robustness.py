@@ -1,6 +1,6 @@
 """Benchmark: what fault tolerance costs, and what recovery buys.
 
-Three questions about the robustness layer, each with a correctness
+Two questions about the robustness layer, each with a correctness
 gate (byte-identical outcomes) attached:
 
 1. **Supervision overhead** — the same fault-free retention grid run
@@ -11,9 +11,9 @@ gate (byte-identical outcomes) attached:
    a hung cell (killed by timeout): wall-clock overhead of detecting,
    killing, and retrying versus the fault-free parallel run, with the
    final rows still byte-identical.
-3. **Resume speedup** — a fully-checkpointed grid re-run with
-   ``resume=True``: the whole Monte Carlo cost collapses to cache
-   reads, byte-identically.
+
+Warm-rerun replay (every tile from the cache, byte-identical rows) is
+gated by ``bench_scheduler.py``.
 
 Writes ``$REPRO_RESULTS_DIR/BENCH_robustness.json`` (CI uploads it)::
 
@@ -44,7 +44,7 @@ def _rows(result):
     ]
 
 
-def _run(scale, cache_root, jobs=None, resume=None, faults=None, ledger=None):
+def _run(scale, cache_root, jobs=None, faults=None, ledger=None):
     """One retention grid run, returning (rows, seconds, RunReport)."""
     from repro.experiments.retention import run_retention
     from repro.plan import PlanArtifactCache
@@ -69,7 +69,6 @@ def _run(scale, cache_root, jobs=None, resume=None, faults=None, ledger=None):
             methods=METHODS,
             plan_cache=PlanArtifactCache(root=cache_root),
             jobs=jobs,
-            resume=resume,
             report_out=reports,
         )
         seconds = time.perf_counter() - start
@@ -153,26 +152,6 @@ def main(argv=None):
         )
         if faulted_rows != serial_rows or recovered < 1 or faulted_rep.failed:
             failures.append("faulted grid did not recover byte-identically")
-
-        # Resume: every cell checkpointed by the serial run above.
-        resumed_rows, resumed_s, resumed_rep = _run(
-            scale, os.path.join(root, "serial"), resume=True
-        )
-        report["resume"] = {
-            "resumed_cells": resumed_rep.count("resumed"),
-            "straight_seconds": serial_s,
-            "resume_seconds": resumed_s,
-            "speedup": serial_s / max(resumed_s, 1e-9),
-            "byte_identical": resumed_rows == serial_rows,
-        }
-        print(
-            f"resume: straight-through {serial_s:.1f}s vs resumed "
-            f"{resumed_s:.1f}s ({serial_s / max(resumed_s, 1e-9):.1f}x, "
-            f"{resumed_rep.count('resumed')}/{cells} cells from "
-            f"checkpoints), byte identical: {resumed_rows == serial_rows}"
-        )
-        if resumed_rows != serial_rows or resumed_rep.count("resumed") != cells:
-            failures.append("resume did not replay the grid byte-identically")
 
     for failure in failures:
         print(f"ERROR: {failure}", file=sys.stderr)

@@ -40,7 +40,7 @@ class DevicesResult:
 def run_devices(scale, technologies=None, nwc_targets=DEFAULT_NWC_TARGETS,
                 methods=DEVICES_METHODS, workload="lenet-digits", seed=11,
                 use_cache=True, batched=True, processes=None, jobs=None,
-                workers=None, plan_cache=None, plans_out=None, resume=None,
+                workers=None, plan_cache=None, plans_out=None,
                 report_out=None):
     """Run the accuracy-vs-NWC sweep for every registered technology.
 
@@ -70,10 +70,9 @@ def run_devices(scale, technologies=None, nwc_targets=DEFAULT_NWC_TARGETS,
     plans_out:
         Optional dict filled with the resolved ``technology ->
         SelectionPlan`` mapping (for ``--save-plans``).
-    resume / report_out:
-        Skip checkpointed cells (or ``REPRO_RESUME``), and an optional
-        list collecting the orchestrator's :class:`~repro.robustness.
-        report.RunReport`.
+    report_out:
+        Optional list collecting the orchestrator's :class:`~repro.
+        robustness.report.RunReport`.
 
     Returns
     -------
@@ -114,7 +113,7 @@ def run_devices(scale, technologies=None, nwc_targets=DEFAULT_NWC_TARGETS,
     ]
     result.outcomes.update(
         orchestrator.run(cells, batched=batched, processes=processes,
-                         jobs=jobs, workers=workers, resume=resume,
+                         jobs=jobs, workers=workers,
                          scenario="devices")
     )
     if plans_out is not None:

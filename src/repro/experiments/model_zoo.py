@@ -2,13 +2,17 @@
 
 Models are trained with quantization-aware training (STE weight fake-quant
 plus ActQuant activation quantization, per the paper's Sec. 4.2) and cached
-on disk keyed by the full workload specification, so repeated benchmark
-invocations skip training.
+as one ``zoo`` artifact of the shared :class:`~repro.plan.cache.
+PlanArtifactCache`, keyed by the full workload specification, so repeated
+benchmark invocations skip training.  A truncated or corrupt artifact is
+quarantined by the cache and the model is retrained.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.data import synthetic_cifar, synthetic_digits, synthetic_tiny_imagenet
 from repro.nn import (
@@ -19,9 +23,9 @@ from repro.nn import (
     evaluate_accuracy,
 )
 from repro.nn.models import convnet, lenet, resnet18
-from repro.utils.cache import ArtifactCache
+from repro.nn.quant import attach_weight_quantizers
+from repro.plan.cache import PlanArtifactCache
 from repro.utils.rng import RngStream
-from repro.utils.serialization import load_state_dict, save_state_dict
 
 __all__ = ["ZooModel", "load_workload", "build_model", "build_data"]
 
@@ -104,22 +108,21 @@ def load_workload(spec, use_cache=True, log=False):
     data = build_data(spec, root.child("data"))
     model = build_model(spec, root.child("model"))
 
-    cache = ArtifactCache(namespace="model-zoo")
+    # Memory-less: the zoo model is loaded once per process, and the
+    # disk tier resolves through ``REPRO_CACHE_DIR`` at call time.
+    cache = PlanArtifactCache(memory=False) if use_cache else None
     cache_cfg = spec.cache_config()
-    path = cache.path_for(cache_cfg)
+    state = cache.get("zoo", cache_cfg) if cache is not None else None
 
-    if use_cache and cache.has(cache_cfg):
-        state, meta = load_state_dict(path)
+    if state is not None:
+        state = dict(state)
+        clean_accuracy = float(state.pop("clean_accuracy"))
         model.load_state_dict(state)
         # QAT quantizers are not part of the state dict; re-attach.
-        from repro.nn.quant import attach_weight_quantizers
-
         attach_weight_quantizers(model, spec.weight_bits)
         model.eval()
-        return ZooModel(
-            model=model, data=data,
-            clean_accuracy=float(meta["clean_accuracy"]), spec=spec,
-        )
+        return ZooModel(model=model, data=data,
+                        clean_accuracy=clean_accuracy, spec=spec)
 
     optimizer = SGD(model.parameters(), lr=spec.lr, momentum=0.9,
                     weight_decay=1e-4)
@@ -138,9 +141,10 @@ def load_workload(spec, use_cache=True, log=False):
     )
     model.eval()
     clean_accuracy = evaluate_accuracy(model, data.test_x, data.test_y)
-    if use_cache:
-        save_state_dict(path, model.state_dict(),
-                        meta={"clean_accuracy": clean_accuracy,
-                              "spec": cache_cfg})
+    if cache is not None:
+        cache.put("zoo", cache_cfg, {
+            **model.state_dict(),
+            "clean_accuracy": np.asarray(clean_accuracy, dtype=np.float64),
+        })
     return ZooModel(model=model, data=data, clean_accuracy=clean_accuracy,
                     spec=spec)

@@ -56,7 +56,7 @@ def run_retention(scale, technologies=RETENTION_TECHNOLOGIES, times=None,
                   workload="lenet-digits", seed=13, use_cache=True,
                   batched=True, processes=None, jobs=None, workers=None,
                   plan_cache=None,
-                  plans_out=None, resume=None, report_out=None):
+                  plans_out=None, report_out=None):
     """Run the Table-1-over-time drift study.
 
     Parameters
@@ -79,10 +79,9 @@ def run_retention(scale, technologies=RETENTION_TECHNOLOGIES, times=None,
     plan_cache / plans_out:
         Planner cache override, and an optional dict collecting the
         resolved ``(technology, time) -> SelectionPlan`` mapping.
-    resume / report_out:
-        Skip checkpointed cells (or ``REPRO_RESUME``), and an optional
-        list collecting the orchestrator's :class:`~repro.robustness.
-        report.RunReport`.
+    report_out:
+        Optional list collecting the orchestrator's :class:`~repro.
+        robustness.report.RunReport`.
 
     Returns
     -------
@@ -133,7 +132,7 @@ def run_retention(scale, technologies=RETENTION_TECHNOLOGIES, times=None,
     )
     result.outcomes.update(
         orchestrator.run(cells, batched=batched, processes=processes,
-                         jobs=jobs, workers=workers, resume=resume,
+                         jobs=jobs, workers=workers,
                          scenario="retention")
     )
     if plans_out is not None:

@@ -81,12 +81,12 @@ def _report_back(reports):
 
 
 def _run_table1(scale, out_dir, batched=True, processes=None, jobs=None,
-                workers=None, save_plans=False, resume=None):
+                workers=None, save_plans=False):
     plans = {} if save_plans else None
     reports = []
     result = run_table1(scale, batched=batched, processes=processes,
                         jobs=jobs, workers=workers, plans_out=plans,
-                        resume=resume, report_out=reports)
+                        report_out=reports)
     print(render_table1(result))
     for sigma, outcome in result.outcomes.items():
         path = save_sweep_csv(
@@ -106,12 +106,12 @@ def _run_fig2(scale, out_dir, panel, batched=True, processes=None):
 
 
 def _run_devices(scale, out_dir, batched=True, processes=None, jobs=None,
-                 workers=None, save_plans=False, resume=None):
+                 workers=None, save_plans=False):
     plans = {} if save_plans else None
     reports = []
     result = run_devices(scale, batched=batched, processes=processes,
                          jobs=jobs, workers=workers, plans_out=plans,
-                         resume=resume, report_out=reports)
+                         report_out=reports)
     print(render_devices(result))
     path = save_devices_csv(result, os.path.join(out_dir, "devices.csv"))
     print(f"[saved {path}]")
@@ -121,12 +121,12 @@ def _run_devices(scale, out_dir, batched=True, processes=None, jobs=None,
 
 
 def _run_retention(scale, out_dir, batched=True, processes=None, jobs=None,
-                   workers=None, save_plans=False, resume=None):
+                   workers=None, save_plans=False):
     plans = {} if save_plans else None
     reports = []
     result = run_retention(scale, batched=batched, processes=processes,
                            jobs=jobs, workers=workers, plans_out=plans,
-                           resume=resume, report_out=reports)
+                           report_out=reports)
     print(render_retention(result))
     path = save_retention_csv(result, os.path.join(out_dir, "retention.csv"))
     print(f"[saved {path}]")
@@ -136,12 +136,12 @@ def _run_retention(scale, out_dir, batched=True, processes=None, jobs=None,
 
 
 def _run_spatial(scale, out_dir, batched=True, processes=None, jobs=None,
-                 workers=None, save_plans=False, resume=None):
+                 workers=None, save_plans=False):
     plans = {} if save_plans else None
     reports = []
     result = run_spatial(scale, batched=batched, processes=processes,
                          jobs=jobs, workers=workers, plans_out=plans,
-                         resume=resume, report_out=reports)
+                         report_out=reports)
     print(render_spatial(result))
     path = save_spatial_csv(result, os.path.join(out_dir, "spatial.csv"))
     print(f"[saved {path}]")
@@ -212,11 +212,6 @@ def main(argv=None):
                         help="also write each scenario's resolved "
                              "selection plans as <scenario>_plans.json "
                              "for offline reuse")
-    parser.add_argument("--resume", action="store_true",
-                        help="skip scenario cells whose checkpoints are "
-                             "already in the artifact cache (e.g. after "
-                             "a crash mid-grid; or REPRO_RESUME=1); "
-                             "resumed output is byte-identical")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="record trace spans and write them as JSONL "
                              "to PATH (plus a chrome://tracing twin next "
@@ -227,7 +222,6 @@ def main(argv=None):
     out_dir = results_dir(args.output_dir)
     todo = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     batched = not args.scalar
-    resume = True if args.resume else None
     reports = []
     if args.jobs is not None or args.processes is not None:
         print("note: --jobs/--processes are deprecated; they now combine "
@@ -242,7 +236,7 @@ def main(argv=None):
         start = time.time()
         print(f"\n=== {name} ===")
         with TRACER.span(f"runner.{name}", scale=scale.name):
-            _run_one(name, scale, out_dir, args, batched, resume, reports)
+            _run_one(name, scale, out_dir, args, batched, reports)
         print(f"[{name} took {time.time() - start:.1f}s]")
 
     if args.trace:
@@ -263,7 +257,7 @@ def main(argv=None):
     return 0
 
 
-def _run_one(name, scale, out_dir, args, batched, resume, reports):
+def _run_one(name, scale, out_dir, args, batched, reports):
     """Dispatch one experiment name (traced as ``runner.<name>``)."""
     if name == "fig1":
         _run_fig1(scale, out_dir, batched=batched)
@@ -272,7 +266,7 @@ def _run_one(name, scale, out_dir, args, batched, resume, reports):
             scale, out_dir, batched=batched,
             processes=args.processes, jobs=args.jobs,
             workers=args.workers,
-            save_plans=args.save_plans, resume=resume))
+            save_plans=args.save_plans))
     elif name.startswith("fig2"):
         _run_fig2(scale, out_dir, name[-1], batched=batched,
                   processes=args.processes)
@@ -281,19 +275,19 @@ def _run_one(name, scale, out_dir, args, batched, resume, reports):
             scale, out_dir, batched=batched,
             processes=args.processes, jobs=args.jobs,
             workers=args.workers,
-            save_plans=args.save_plans, resume=resume))
+            save_plans=args.save_plans))
     elif name == "retention":
         reports.append(_run_retention(
             scale, out_dir, batched=batched,
             processes=args.processes, jobs=args.jobs,
             workers=args.workers,
-            save_plans=args.save_plans, resume=resume))
+            save_plans=args.save_plans))
     elif name == "spatial":
         reports.append(_run_spatial(
             scale, out_dir, batched=batched,
             processes=args.processes, jobs=args.jobs,
             workers=args.workers,
-            save_plans=args.save_plans, resume=resume))
+            save_plans=args.save_plans))
     elif name == "ablations":
         _run_ablations(scale, out_dir)
 

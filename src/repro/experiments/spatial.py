@@ -50,7 +50,7 @@ def run_spatial(scale, technology="fefet-spatial", correlation_lengths=None,
                 workload="lenet-digits", seed=17, use_cache=True,
                 batched=True, processes=None, jobs=None, workers=None,
                 plan_cache=None,
-                plans_out=None, resume=None, report_out=None):
+                plans_out=None, report_out=None):
     """Run the clustered-failure stress test across correlation lengths.
 
     Parameters
@@ -70,10 +70,9 @@ def run_spatial(scale, technology="fefet-spatial", correlation_lengths=None,
     plan_cache / plans_out:
         Planner cache override, and an optional dict collecting the
         resolved ``length -> SelectionPlan`` mapping.
-    resume / report_out:
-        Skip checkpointed cells (or ``REPRO_RESUME``), and an optional
-        list collecting the orchestrator's :class:`~repro.robustness.
-        report.RunReport`.
+    report_out:
+        Optional list collecting the orchestrator's :class:`~repro.
+        robustness.report.RunReport`.
 
     Returns
     -------
@@ -123,7 +122,7 @@ def run_spatial(scale, technology="fefet-spatial", correlation_lengths=None,
     )
     result.outcomes.update(
         orchestrator.run(cells, batched=batched, processes=processes,
-                         jobs=jobs, workers=workers, resume=resume,
+                         jobs=jobs, workers=workers,
                          scenario="spatial")
     )
     if plans_out is not None:

@@ -41,7 +41,7 @@ def run_table1(scale, sigmas=TABLE1_SIGMAS, nwc_targets=DEFAULT_NWC_TARGETS,
                methods=("swim", "magnitude", "random", "insitu"),
                seed=1, use_cache=True, batched=True, processes=None,
                jobs=None, workers=None, plan_cache=None, plans_out=None,
-               resume=None, report_out=None):
+               report_out=None):
     """Run the Table 1 experiment at a given scale preset.
 
     ``batched`` selects the trial-batched Monte Carlo engine (default).
@@ -50,7 +50,6 @@ def run_table1(scale, sigmas=TABLE1_SIGMAS, nwc_targets=DEFAULT_NWC_TARGETS,
     aliases that combine into it; results bitwise-equal to serial); the
     deterministic selections themselves are planned once for all sigmas
     — the curvature ranking does not depend on the device noise level.
-    ``resume`` skips checkpointed cells (or ``REPRO_RESUME``);
     ``report_out`` (a list, when given) collects the orchestrator's
     :class:`~repro.robustness.report.RunReport`.
 
@@ -86,7 +85,7 @@ def run_table1(scale, sigmas=TABLE1_SIGMAS, nwc_targets=DEFAULT_NWC_TARGETS,
     )
     result.outcomes.update(
         orchestrator.run(cells, batched=batched, processes=processes,
-                         jobs=jobs, workers=workers, resume=resume,
+                         jobs=jobs, workers=workers,
                          scenario="table1")
     )
     if plans_out is not None:

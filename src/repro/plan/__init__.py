@@ -34,7 +34,6 @@ from repro.plan.orchestrator import (
     ScenarioCell,
     ScenarioOrchestrator,
     resolve_jobs,
-    resolve_resume,
 )
 
 __all__ = [
@@ -53,6 +52,5 @@ __all__ = [
     "model_digest",
     "resolve_jobs",
     "resolve_memory_items",
-    "resolve_resume",
     "save_plans",
 ]

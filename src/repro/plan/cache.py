@@ -1,8 +1,20 @@
-"""Content-addressed, self-healing artifact cache for selection planning.
+"""Content-addressed, self-healing artifact cache: the one artifact store.
 
-Every scenario grid re-derives the same expensive intermediates —
-curvature flat vectors, stack variance maps, resolved selection orders —
-once per grid point.  This cache makes them first-class artifacts:
+Every persisted artifact of the repository lives here, one ``kind`` per
+producer:
+
+- ``zoo`` — a trained workload model's state dict plus its clean
+  accuracy (:mod:`repro.experiments.model_zoo`);
+- ``curvature`` / ``variance`` / ``order`` — the planning intermediates
+  (curvature flat vectors, stack variance maps, resolved selection
+  orders) that every scenario grid would otherwise re-derive once per
+  grid point (:mod:`repro.plan.engine`);
+- ``eval`` — one work-rectangle tile's partial Monte Carlo outcome
+  (:mod:`repro.plan.orchestrator`), which is what makes warm reruns and
+  reruns after a crash replay instead of recompute;
+- ``plan`` — a served selection plan (:mod:`repro.serve`).
+
+Every kind gets the same guarantees:
 
 - **content-addressed keys**: an artifact's key is the SHA-256 of a
   canonical JSON description of everything that determines it — the

@@ -24,24 +24,22 @@ then re-executed serially in the parent, and only then declared failed.
 A failed tile fails its cell but not the grid — the cell's key is
 simply absent from the returned outcome dict (its surviving tiles stay
 cached for the next attempt), and the per-cell story (ok / cached /
-resumed / recovered / degraded / failed) is recorded in
+recovered / degraded / failed) is recorded in
 :attr:`ScenarioOrchestrator.report`, a :class:`~repro.robustness.
 report.RunReport` the CLI renders and exits on.
 
-Incremental evaluation / checkpoint / resume
---------------------------------------------
+Incremental evaluation and crash recovery
+-----------------------------------------
 Every tile's partial outcome persists the moment it lands, as a
 content-addressed ``eval`` artifact in the engine's :class:`~repro.
 plan.cache.PlanArtifactCache` — keyed on model/sense/eval digests, the
 request physics, the cell's RNG seed, and the tile's trial window;
-never on supervision or worker-count knobs.  Every run (no flag
-needed) probes these artifacts first, so a rerun after a one-cell
-config change recomputes only that cell's tiles and is still
-byte-identical to a cold serial run; the hit/recompute counts are on
-the report (``tiles_cached`` / ``tiles_computed``).  Completed cells
-additionally checkpoint as ``cell`` artifacts the moment their last
-tile lands, which is what ``resume=True`` / ``REPRO_RESUME=1`` loads
-to skip whole cells after a mid-grid kill.
+never on supervision or worker-count knobs.  Every run probes these
+artifacts first, so a rerun after a one-cell config change recomputes
+only that cell's tiles, and a rerun of the same command after a
+mid-grid kill recomputes only the tiles that had not landed — both
+byte-identical to a cold serial run.  The hit/recompute counts are on
+the report (``tiles_cached`` / ``tiles_computed``).
 
 Determinism
 -----------
@@ -50,7 +48,7 @@ Every cell derives *all* of its randomness from its own named
 of the Monte Carlo engine), planned orders are computed before any tile
 runs, and tile boundaries are worker-count independent and aligned to
 the engine's trial-block grid — so serial, ``--workers N``, retried,
-degraded, cached, and resumed runs are all bitwise-equal.  Workers
+degraded, and cached runs are all bitwise-equal.  Workers
 receive the model via ``fork`` (models carry closures that do not
 pickle); on platforms without fork the tiles run serially in the
 parent with a warning.
@@ -58,7 +56,6 @@ parent with a warning.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -95,7 +92,6 @@ __all__ = [
     "ScenarioCell",
     "ScenarioOrchestrator",
     "resolve_jobs",
-    "resolve_resume",
 ]
 
 
@@ -107,14 +103,6 @@ def resolve_jobs(jobs=None):
     with :func:`~repro.robustness.scheduler.resolve_workers`.
     """
     return resolve_worker_count(jobs, "REPRO_JOBS", "jobs")
-
-
-def resolve_resume(resume=None):
-    """Resolve the resume flag: explicit arg, else ``REPRO_RESUME``."""
-    if resume is None:
-        raw = os.environ.get("REPRO_RESUME", "").strip().lower()
-        resume = raw in ("1", "true", "yes", "on")
-    return bool(resume)
 
 
 @dataclass
@@ -201,7 +189,7 @@ class ScenarioOrchestrator:
 
     @property
     def cache(self):
-        """The engine's artifact cache (checkpoints live here too)."""
+        """The engine's artifact cache (evaluation tiles live here too)."""
         return self.engine.cache
 
     def plan_cells(self, cells):
@@ -220,11 +208,12 @@ class ScenarioOrchestrator:
             }
         return self.plans
 
-    # ----------------------------------------------------------- checkpoints
+    # ------------------------------------------------------- tile addresses
 
     def _cell_config(self, cell, batched):
-        """Content address of one cell's outcome: everything that
-        determines the result, nothing that does not.
+        """Content address shared by one cell's tiles (each adds its
+        trial window): everything that determines the result, nothing
+        that does not.
 
         Model and data enter as digests, the request as its canonical
         physics dict (technology instances through their ``to_dict``
@@ -271,7 +260,7 @@ class ScenarioOrchestrator:
     # -------------------------------------------------------------- execution
 
     def run(self, cells, batched=True, processes=None, jobs=None,
-            workers=None, resume=None, timeout=None, retries=None,
+            workers=None, timeout=None, retries=None,
             scenario="", tile_trials=None):
         """Schedule the grid's work rectangle and merge its tiles.
 
@@ -296,11 +285,6 @@ class ScenarioOrchestrator:
             ``jobs * processes`` rectangle workers.  ``processes`` no
             longer selects the scalar per-trial path inside cells —
             the rectangle owns trial parallelism.
-        resume:
-            Load whole already-checkpointed cells from the artifact
-            cache (default: ``REPRO_RESUME``).  Independent of — and
-            faster than — the always-on per-tile evaluation cache:
-            resume skips even the tile probe and the merge.
         timeout / retries:
             Supervision overrides forwarded to :func:`~repro.
             robustness.supervisor.supervised_map` (default:
@@ -326,7 +310,6 @@ class ScenarioOrchestrator:
         workers = resolve_workers(
             workers=workers, jobs=jobs, processes=processes
         )
-        resume = resolve_resume(resume)
         tile_trials = resolve_tile_trials(tile_trials)
         cells = list(cells)
         plans = self.plan_cells(cells)
@@ -337,28 +320,16 @@ class ScenarioOrchestrator:
         configs = [self._cell_config(cell, batched) for cell in cells]
         outcomes = {}  # index -> SweepOutcome
         records = {}  # index -> CellRecord
-        pending = []  # cell indexes not resumed from a checkpoint
-        for index, cell in enumerate(cells):
-            arrays = self.cache.get("cell", configs[index]) if resume else None
-            if arrays is not None:
-                outcomes[index] = decode_outcome(arrays)
-                records[index] = CellRecord(
-                    key=cell.key, status="resumed", attempts=0, tiles=0
-                )
-            else:
-                pending.append(index)
 
-        # --- decompose pending cells into the work rectangle's tiles.
+        # --- decompose the cells into the work rectangle's tiles.
         # Boundaries depend only on each cell's trial count and the
         # engine block grid — never on the worker count — so tile cache
         # keys are stable across serial and parallel invocations.
         block = default_trial_block()
         tiles = []  # tile id -> Tile
-        cell_tiles = {index: [] for index in pending}
-        for index in pending:
-            for start, stop in tile_ranges(
-                cells[index].mc_runs, block, tile_trials
-            ):
+        cell_tiles = [[] for _ in cells]  # cell index -> tile ids
+        for index, cell in enumerate(cells):
+            for start, stop in tile_ranges(cell.mc_runs, block, tile_trials):
                 cell_tiles[index].append(len(tiles))
                 tiles.append(Tile(cell=index, start=start, stop=stop))
         tile_configs = {
@@ -379,29 +350,15 @@ class ScenarioOrchestrator:
                 todo.append(t)
         report.tiles_total = len(tiles)
         report.tiles_cached = len(cached_tiles)
-        remaining = {
-            index: sum(1 for t in cell_tiles[index] if t not in cached_tiles)
-            for index in pending
-        }
+        remaining = [
+            sum(1 for t in own if t not in cached_tiles) for own in cell_tiles
+        ]
 
         def finish_cell(index):
-            # Every tile landed: merge them into the cell's full
-            # outcome and write the cell checkpoint (the resume fast
-            # path) the moment the cell completes — not at end of run —
-            # so a mid-grid kill leaves resumable cells behind.
-            outcome = merge_outcomes(
+            # Every tile landed: merge them into the cell's full outcome.
+            outcomes[index] = merge_outcomes(
                 [tile_values[t] for t in cell_tiles[index]]
             )
-            outcomes[index] = outcome
-            try:
-                self.cache.put("cell", configs[index], encode_outcome(outcome))
-            except CacheWriteError as exc:
-                report.checkpoint_errors += 1
-                warnings.warn(
-                    f"could not checkpoint cell {cells[index].key!r}: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
 
         def execute(t):
             tile = tiles[t]
@@ -463,7 +420,7 @@ class ScenarioOrchestrator:
 
         # Cells served entirely from the evaluation cache merge without
         # scheduling anything — the warm-rerun (passless) path.
-        for index in pending:
+        for index in range(len(cells)):
             if remaining[index] == 0:
                 finish_cell(index)
                 records[index] = CellRecord(
@@ -538,7 +495,7 @@ class ScenarioOrchestrator:
         report.tiles_computed = sum(1 for t in todo if t in tile_values)
 
         # --- fold tile reports into per-cell records.
-        for index in pending:
+        for index in range(len(cells)):
             if index in records:
                 continue  # all-cached, recorded above
             own = [

@@ -16,9 +16,9 @@ those failures survivable and *testable*:
   independent (cells x trial-blocks) tile decomposition every scenario
   run schedules onto one :func:`supervised_map` pool;
 - :mod:`~repro.robustness.checkpoint` — sweep-outcome serialization so
-  completed grid cells and evaluation tiles persist as
-  content-addressed artifacts and warm or resumed runs skip them
-  byte-identically (:func:`merge_outcomes` reassembles tiles exactly);
+  evaluation tiles persist as content-addressed artifacts and warm
+  reruns (including reruns after a crash) skip them byte-identically
+  (:func:`merge_outcomes` reassembles tiles exactly);
 - :mod:`~repro.robustness.report` — structured run reports (what ran,
   what recovered, what failed) behind the CLI summary and exit codes;
 - :mod:`~repro.robustness.faults` — the deterministic fault-injection

@@ -5,14 +5,8 @@ pure plumbing shared by the substrates and the experiment drivers.
 """
 
 from repro.utils.ascii_plot import line_plot, scatter_plot
-from repro.utils.cache import ArtifactCache, config_key, default_cache_dir
+from repro.utils.cache import default_cache_dir
 from repro.utils.rng import RngStream, derive_seed
-from repro.utils.serialization import (
-    load_results,
-    load_state_dict,
-    save_results,
-    save_state_dict,
-)
 from repro.utils.stats import (
     MeanStd,
     bootstrap_mean_ci,
@@ -24,23 +18,17 @@ from repro.utils.stats import (
 from repro.utils.tables import Table, format_markdown, format_table
 
 __all__ = [
-    "ArtifactCache",
     "MeanStd",
     "RngStream",
     "Table",
     "bootstrap_mean_ci",
-    "config_key",
     "default_cache_dir",
     "derive_seed",
     "format_markdown",
     "format_table",
     "line_plot",
-    "load_results",
-    "load_state_dict",
     "pearson",
     "running_mean_converged",
-    "save_results",
-    "save_state_dict",
     "scatter_plot",
     "spearman",
     "summarize",

@@ -12,10 +12,11 @@ from repro.utils.rng import RngStream
 
 @pytest.fixture(scope="session", autouse=True)
 def hermetic_cache_dir(tmp_path_factory):
-    """Point every on-disk cache at a session-scoped temporary directory.
+    """Point the artifact store at a session-scoped temporary directory.
 
-    Covers the model-zoo artifact cache *and* the selection-plan cache
-    (both resolve through ``REPRO_CACHE_DIR``), so CI and local runs
+    Every persisted artifact — zoo models, planning intermediates,
+    evaluation tiles — lives in the one ``PlanArtifactCache`` store,
+    which resolves through ``REPRO_CACHE_DIR``, so CI and local runs
     never read stale artifacts from — or leak artifacts into — the
     user's ``~/.cache/repro``.  Session-scoped: the first test (or
     runner subprocess, which inherits the environment) trains and

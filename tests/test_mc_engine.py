@@ -12,8 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cim import CimAccelerator, DeviceConfig, MappingConfig
-from repro.cim.noise import ResidualModel, inject_code_noise
+from repro.cim import (
+    CimAccelerator,
+    DeviceConfig,
+    MappingConfig,
+    ResidualModel,
+    inject_code_noise,
+)
 from repro.cim.write_verify import (
     WriteVerifyConfig,
     write_verify,
