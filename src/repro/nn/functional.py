@@ -6,11 +6,21 @@ the paper's observation that "convolution layers can be cast in the same
 form as FC layers" (Sec. 3.3) literal in the code: the gradient uses the
 column matrix, and the diagonal-curvature pass uses the *squared* column
 matrix, exactly as Eq. 8 does for fully connected layers.
+
+Both kernels work on strided views (``sliding_window_view`` for the
+unfold, ``kh*kw`` strided-slice adds for the fold) under one bitwise
+contract: ``im2col`` is an exact copy, and ``col2im`` accumulates each
+pixel in the same order as an ``np.add.at`` scatter, so every output is
+byte-identical to the fancy-index gather/scatter formulation.  The column
+layout ``(C*kh*kw, N*out_h*out_w)`` is fixed: its rows are channel-major,
+so input-channel tiles of a crossbar are contiguous row blocks of
+``cols`` (strided slices of the same matrix, no re-unfold).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "pad2d",
@@ -53,25 +63,6 @@ def unpad2d(x, padding):
     return x[:, :, padding:-padding, padding:-padding]
 
 
-def _window_indices(channels, height, width, kernel, stride):
-    """Row/col gather indices for im2col on a padded (C, H, W) volume."""
-    kh, kw = kernel
-    out_h = (height - kh) // stride + 1
-    out_w = (width - kw) // stride + 1
-
-    # Index arrays of shape (C*kh*kw, out_h*out_w).
-    c_idx = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
-    kh_idx = np.tile(np.repeat(np.arange(kh), kw), channels).reshape(-1, 1)
-    kw_idx = np.tile(np.arange(kw), channels * kh).reshape(-1, 1)
-
-    oh_idx = stride * np.repeat(np.arange(out_h), out_w).reshape(1, -1)
-    ow_idx = stride * np.tile(np.arange(out_w), out_h).reshape(1, -1)
-
-    rows = kh_idx + oh_idx
-    cols = kw_idx + ow_idx
-    return c_idx, rows, cols, out_h, out_w
-
-
 def im2col(x, kernel, stride=1, padding=0):
     """Unfold NCHW input into a column matrix.
 
@@ -87,16 +78,19 @@ def im2col(x, kernel, stride=1, padding=0):
     Returns
     -------
     tuple
-        ``(cols, out_h, out_w)`` where ``cols`` has shape
-        ``(C*kh*kw, N*out_h*out_w)``; column ``n*out_h*out_w + p`` holds the
-        receptive field of output pixel ``p`` of sample ``n``.
+        ``(cols, out_h, out_w)`` where ``cols`` is a fresh C-contiguous
+        array of shape ``(C*kh*kw, N*out_h*out_w)``; column
+        ``n*out_h*out_w + p`` holds the receptive field of output pixel
+        ``p`` of sample ``n``.
     """
-    x = pad2d(x, padding)
     n, c, h, w = x.shape
-    c_idx, rows, cols_idx, out_h, out_w = _window_indices(c, h, w, kernel, stride)
-    patches = x[:, c_idx, rows, cols_idx]  # (N, C*kh*kw, out_h*out_w)
-    cols = patches.transpose(1, 0, 2).reshape(patches.shape[1], -1)
-    return np.ascontiguousarray(cols), out_h, out_w
+    kh, kw = kernel
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    windows = sliding_window_view(pad2d(x, padding), (kh, kw), axis=(2, 3))
+    # (N, C, oh, ow, kh, kw) -> (C, kh, kw, N, oh, ow), copied once.
+    cols = windows[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3).copy()
+    return cols.reshape(c * kh * kw, n * out_h * out_w), out_h, out_w
 
 
 def col2im(cols, x_shape, kernel, stride=1, padding=0):
@@ -106,14 +100,23 @@ def col2im(cols, x_shape, kernel, stride=1, padding=0):
     pixel accumulates contributions from every window that covered it,
     which is exactly what both the gradient and the diagonal-curvature
     backward passes require.
+
+    Every pixel starts at ``+0.0`` and adds its window offsets ``(i, j)``
+    in lexicographic order, the order an ``np.add.at`` scatter over this
+    column layout accumulates in, so the sums are bitwise-equal to that
+    scatter's, not merely ulp-close.
     """
     n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    c_idx, rows, cols_idx, out_h, out_w = _window_indices(c, hp, wp, kernel, stride)
-    patches = cols.reshape(cols.shape[0], n, out_h * out_w).transpose(1, 0, 2)
-    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    # Scatter-add each window position back onto the padded image.
-    np.add.at(out, (slice(None), c_idx, rows, cols_idx), patches)
+    kh, kw = kernel
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    # (C, kh, kw, N, oh, ow) -> (kh, kw, N, C, oh, ow)
+    patches = cols.reshape(c, kh, kw, n, out_h, out_w).transpose(1, 2, 3, 0, 4, 5)
+    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i : i + stride * out_h : stride,
+                j : j + stride * out_w : stride] += patches[i, j]
     return unpad2d(out, padding)
 
 

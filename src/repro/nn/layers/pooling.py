@@ -50,7 +50,6 @@ class MaxPool2d(Module):
             "x_shape": x.shape,
             "argmax": argmax,
             "cols_shape": cols.shape,
-            "out_hw": (out_h, out_w),
         }
         return out
 
@@ -104,12 +103,7 @@ class AvgPool2d(Module):
         cols = np.broadcast_to(
             values.reshape(1, -1) * coeff, self._cache["cols_shape"]
         ).astype(values.dtype)
-        out = F.col2im(
-            np.ascontiguousarray(cols),
-            (n * c, 1, h, w),
-            self.kernel_size,
-            stride=self.stride,
-        )
+        out = F.col2im(cols, (n * c, 1, h, w), self.kernel_size, stride=self.stride)
         return out.reshape(n, c, h, w)
 
     def backward(self, grad_out):

@@ -4,10 +4,60 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
+from repro.nn.layers.pooling import AvgPool2d
+from repro.nn.losses import CrossEntropyLoss
+from repro.nn.models import lenet
+from repro.nn.module import Sequential
+from repro.utils.rng import RngStream
+
+
+def _reference_indices(channels, height, width, kernel, stride):
+    """Fancy-index gather indices of the reference kernels below."""
+    kh, kw = kernel
+    out_h = (height - kh) // stride + 1
+    out_w = (width - kw) // stride + 1
+    c_idx = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
+    kh_idx = np.tile(np.repeat(np.arange(kh), kw), channels).reshape(-1, 1)
+    kw_idx = np.tile(np.arange(kw), channels * kh).reshape(-1, 1)
+    oh_idx = stride * np.repeat(np.arange(out_h), out_w).reshape(1, -1)
+    ow_idx = stride * np.tile(np.arange(out_w), out_h).reshape(1, -1)
+    return c_idx, kh_idx + oh_idx, kw_idx + ow_idx, out_h, out_w
+
+
+def _reference_im2col(x, kernel, stride=1, padding=0):
+    """Oracle: fancy-index gather over the padded input."""
+    x = F.pad2d(x, padding)
+    n, c, h, w = x.shape
+    c_idx, rows, cols_idx, out_h, out_w = _reference_indices(
+        c, h, w, kernel, stride
+    )
+    patches = x[:, c_idx, rows, cols_idx]  # (N, C*kh*kw, out_h*out_w)
+    cols = patches.transpose(1, 0, 2).reshape(patches.shape[1], -1)
+    return np.ascontiguousarray(cols), out_h, out_w
+
+
+def _reference_col2im(cols, x_shape, kernel, stride=1, padding=0):
+    """Oracle: ``np.add.at`` scatter onto the padded image."""
+    n, c, h, w = x_shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    c_idx, rows, cols_idx, out_h, out_w = _reference_indices(
+        c, hp, wp, kernel, stride
+    )
+    patches = cols.reshape(cols.shape[0], n, out_h * out_w).transpose(1, 0, 2)
+    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    np.add.at(out, (slice(None), c_idx, rows, cols_idx), patches)
+    return F.unpad2d(out, padding)
+
+
+def _tricky_values(gen, shape, dtype):
+    """Order-sensitive values: wide magnitudes, ties, and signed zeros."""
+    values = gen.normal(size=shape) * 10.0 ** gen.uniform(-4, 4, size=shape)
+    ties = gen.choice([-0.0, 0.0, 1.0, -1.0, 0.5], size=shape)
+    return np.where(gen.random(shape) < 0.4, ties, values).astype(dtype)
 
 
 def test_conv_output_size():
@@ -66,6 +116,90 @@ def test_adjoint_property_holds_generally(h, w, k, stride, padding, seed):
     back = F.col2im(y, x.shape, (k, k), stride=stride, padding=padding)
     rhs = float((x * back).sum())
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    c=st.integers(1, 3),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    kh=st.integers(1, 4),
+    kw=st.integers(1, 4),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 2),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    transposed=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_kernels_bitwise_equal_reference(
+    n, c, h, w, kh, kw, stride, padding, dtype, transposed, seed
+):
+    """Both kernels are byte-identical to the gather/``np.add.at`` oracle."""
+    assume(h + 2 * padding >= kh and w + 2 * padding >= kw)
+    gen = np.random.default_rng(seed)
+    if transposed:  # non-contiguous views in
+        x = _tricky_values(gen, (n, c, w, h), dtype).transpose(0, 1, 3, 2)
+    else:
+        x = _tricky_values(gen, (n, c, h, w), dtype)
+    kernel = (kh, kw)
+    got, oh, ow = F.im2col(x, kernel, stride=stride, padding=padding)
+    want, oh_r, ow_r = _reference_im2col(x, kernel, stride, padding)
+    assert (oh, ow) == (oh_r, ow_r)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous and not np.shares_memory(got, x)
+    assert got.tobytes() == want.tobytes()
+
+    rows, width = got.shape
+    cols = _tricky_values(gen, (width, rows) if transposed else got.shape, dtype)
+    if transposed:
+        cols = cols.T
+    back = F.col2im(cols, x.shape, kernel, stride=stride, padding=padding)
+    ref = _reference_col2im(cols, x.shape, kernel, stride, padding)
+    assert back.shape == ref.shape and back.dtype == ref.dtype
+    assert back.strides == ref.strides
+    assert back.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [(5, 5), (4, 2), (2, 4)])
+def test_kernels_reject_window_larger_than_input(kernel):
+    """A window that does not fit raises instead of returning empty."""
+    x = np.ones((2, 1, 3, 3))
+    with pytest.raises(ValueError, match="non-positive output size"):
+        F.im2col(x, kernel)
+    with pytest.raises(ValueError, match="non-positive output size"):
+        F.col2im(np.ones((kernel[0] * kernel[1], 0)), x.shape, kernel)
+
+
+def _lenet_passes(x, targets):
+    """Outputs, input derivatives and parameter buffers of one pass."""
+    # An overlapping average pool in front of LeNet (its conv and max
+    # pools) sends every layer kind's backward through col2im.
+    model = Sequential(AvgPool2d(3, stride=1), lenet(RngStream(7).child("m")))
+    out = model(x)
+    loss = CrossEntropyLoss()
+    loss(out, targets)
+    model.zero_grad()
+    grad_in = model.backward(loss.backward())
+    curv_in = model.backward_second(loss.second())
+    arrays = [out, grad_in, curv_in]
+    for _, p in model.named_parameters():
+        arrays += [p.grad, p.curvature]
+    return arrays
+
+
+def test_lenet_passes_bitwise_equal_reference_kernels(monkeypatch):
+    gen = np.random.default_rng(3)
+    x = _tricky_values(gen, (6, 1, 30, 30), np.float32)
+    targets = gen.integers(0, 10, size=6)
+    fast = _lenet_passes(x, targets)
+    monkeypatch.setattr(F, "im2col", _reference_im2col)
+    monkeypatch.setattr(F, "col2im", _reference_col2im)
+    reference = _lenet_passes(x, targets)
+    assert len(fast) == len(reference)
+    for got, want in zip(fast, reference):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_pad_unpad_roundtrip(rng):
