@@ -3,9 +3,13 @@
 Models are trained with quantization-aware training (STE weight fake-quant
 plus ActQuant activation quantization, per the paper's Sec. 4.2) and cached
 as one ``zoo`` artifact of the shared :class:`~repro.plan.cache.
-PlanArtifactCache`, keyed by the full workload specification, so repeated
-benchmark invocations skip training.  A truncated or corrupt artifact is
-quarantined by the cache and the model is retrained.
+PlanArtifactCache`, keyed by the full workload specification.  The
+artifact holds everything a run needs from the workload: the trained
+state dict, the clean accuracy and the generated dataset it was trained
+on, so a warm load neither trains nor regenerates data.  A truncated or
+corrupt artifact is quarantined by the cache; the dataset is regenerated
+and the model retrained, bitwise-equal, because both are seeded by the
+spec.
 """
 
 from __future__ import annotations
@@ -14,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data import synthetic_cifar, synthetic_digits, synthetic_tiny_imagenet
+from repro.data import (
+    DataSplit,
+    synthetic_cifar,
+    synthetic_digits,
+    synthetic_tiny_imagenet,
+)
 from repro.nn import (
     SGD,
     TrainConfig,
@@ -93,30 +102,55 @@ def build_model(spec, rng):
     raise KeyError(f"unknown arch {spec.arch!r}")
 
 
+#: Array fields of :class:`~repro.data.DataSplit` stored in the artifact.
+_DATA_ARRAYS = ("train_x", "train_y", "test_x", "test_y")
+
+
+def _split_to_arrays(data):
+    """``name -> array`` entries of a split for the ``zoo`` artifact."""
+    arrays = {name: getattr(data, name) for name in _DATA_ARRAYS}
+    arrays["num_classes"] = np.asarray(data.num_classes, dtype=np.int64)
+    arrays["name"] = np.asarray(data.name)
+    return arrays
+
+
+def _split_from_arrays(state):
+    """Pop a split's entries off a loaded ``zoo`` artifact dict."""
+    arrays = {name: state.pop(name) for name in _DATA_ARRAYS}
+    return DataSplit(
+        num_classes=int(state.pop("num_classes")),
+        name=str(state.pop("name")),
+        **arrays,
+    )
+
+
 def load_workload(spec, use_cache=True, log=False):
-    """Train (or load from cache) the model for a workload spec.
+    """Train (or load from cache) the model and dataset for a workload spec.
 
     Deterministic: the spec's seed drives data generation, weight init,
-    and batch shuffling, so cache hits and fresh training produce the
-    same artifact.
+    and batch shuffling through independent named substreams, so cache
+    hits and fresh training produce the same artifact.  The dataset is
+    generated only on a miss, just before training.
 
     Returns
     -------
     ZooModel
     """
     root = RngStream(spec.seed).child("zoo", spec.key)
-    data = build_data(spec, root.child("data"))
     model = build_model(spec, root.child("model"))
 
     # Memory-less: the zoo model is loaded once per process, and the
     # disk tier resolves through ``REPRO_CACHE_DIR`` at call time.
     cache = PlanArtifactCache(memory=False) if use_cache else None
-    cache_cfg = spec.cache_config()
+    # The contents marker keys the model+data layout apart from older
+    # weight-only entries, which are never read.
+    cache_cfg = {**spec.cache_config(), "contents": "model+data"}
     state = cache.get("zoo", cache_cfg) if cache is not None else None
 
     if state is not None:
         state = dict(state)
         clean_accuracy = float(state.pop("clean_accuracy"))
+        data = _split_from_arrays(state)
         model.load_state_dict(state)
         # QAT quantizers are not part of the state dict; re-attach.
         attach_weight_quantizers(model, spec.weight_bits)
@@ -124,6 +158,7 @@ def load_workload(spec, use_cache=True, log=False):
         return ZooModel(model=model, data=data,
                         clean_accuracy=clean_accuracy, spec=spec)
 
+    data = build_data(spec, root.child("data"))
     optimizer = SGD(model.parameters(), lr=spec.lr, momentum=0.9,
                     weight_decay=1e-4)
     trainer = Trainer(
@@ -144,6 +179,7 @@ def load_workload(spec, use_cache=True, log=False):
     if cache is not None:
         cache.put("zoo", cache_cfg, {
             **model.state_dict(),
+            **_split_to_arrays(data),
             "clean_accuracy": np.asarray(clean_accuracy, dtype=np.float64),
         })
     return ZooModel(model=model, data=data, clean_accuracy=clean_accuracy,

@@ -162,6 +162,7 @@ def _batched_sweep(engine, zoo, accelerator, space, orders, methods, counts,
         for method in methods
         if method not in ("insitu", "random")
     }
+    uniform_counts = {0, space.total_size}
     for block in engine.blocks():
         streams = engine.substreams(block)
         accelerator.program_trials(
@@ -181,27 +182,38 @@ def _batched_sweep(engine, zoo, accelerator, space, orders, methods, counts,
                 for s in streams
             ]
 
+        # At NWC 0 (all raw) and NWC 1 (all verified) every method
+        # deploys the same weights, so those targets are evaluated once
+        # per block and their rows shared.
+        uniform_rows = {}
         for method in methods:
             if method == "insitu":
                 continue
             for i, count in enumerate(counts):
-                if method == "random":
-                    masks = space.masks_from_indices_trials(
-                        [order[:count] for order in random_orders]
+                row = uniform_rows.get(count)
+                if row is None:
+                    if method == "random":
+                        masks = space.masks_from_indices_trials(
+                            [order[:count] for order in random_orders]
+                        )
+                    else:
+                        masks = shared_masks[method][i]
+                    row = (
+                        accelerator.apply_selection_trials(
+                            masks, read_time=read_time, read_streams=streams
+                        ),
+                        evaluate_accuracy_trials(
+                            zoo.model, eval_x, eval_y, len(block)
+                        ),
                     )
-                else:
-                    masks = shared_masks[method][i]
-                nwc_store[method][block, i] = accelerator.apply_selection_trials(
-                    masks, read_time=read_time, read_streams=streams
-                )
-                acc_store[method][block, i] = evaluate_accuracy_trials(
-                    zoo.model, eval_x, eval_y, len(block)
-                )
+                    if count in uniform_counts:
+                        uniform_rows[count] = row
+                nwc_store[method][block, i], acc_store[method][block, i] = row
 
         if "insitu" in methods:
+            # The in-situ trainer programs and verifies from its own
+            # ``init`` substreams, so no per-trial programming here.
             for trial, stream in zip(block, streams):
-                accelerator.program(stream.child("program").generator)
-                accelerator.write_verify_all(stream.child("verify").generator)
                 accuracies, achieved = _insitu_row(
                     zoo, accelerator, nwc_targets, stream.child("insitu"),
                     eval_x, eval_y, insitu_lr,

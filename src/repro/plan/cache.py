@@ -3,8 +3,9 @@
 Every persisted artifact of the repository lives here, one ``kind`` per
 producer:
 
-- ``zoo`` — a trained workload model's state dict plus its clean
-  accuracy (:mod:`repro.experiments.model_zoo`);
+- ``zoo`` — a trained workload model's state dict, its clean accuracy
+  and the generated dataset it was trained on
+  (:mod:`repro.experiments.model_zoo`);
 - ``curvature`` / ``variance`` / ``order`` — the planning intermediates
   (curvature flat vectors, stack variance maps, resolved selection
   orders) that every scenario grid would otherwise re-derive once per

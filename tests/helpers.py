@@ -75,3 +75,14 @@ def analytic_curvature(model, loss, x, y):
 def default_loss():
     """The loss used by most checks."""
     return CrossEntropyLoss()
+
+
+def assert_same_split(a, b):
+    """Two DataSplits hold the same bytes, dtypes, shapes and metadata."""
+    for name in ("train_x", "train_y", "test_x", "test_y"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    assert (a.num_classes, a.name) == (b.num_classes, b.name)
+    assert type(a.num_classes) is type(b.num_classes) is int
+    assert type(a.name) is type(b.name) is str

@@ -7,6 +7,9 @@ import os
 import numpy as np
 import pytest
 
+import repro.experiments.model_zoo as model_zoo
+import repro.experiments.sweeps as sweeps
+from repro.cim import CimAccelerator
 from repro.core.metrics import DEFAULT_NWC_TARGETS
 from repro.experiments.config import SCALES, SMOKE, get_scale
 from repro.experiments.model_zoo import build_data, build_model, load_workload
@@ -14,6 +17,8 @@ from repro.experiments.reporting import render_ablation, save_sweep_csv
 from repro.experiments.sweeps import run_method_sweep
 from repro.experiments.table1 import render_table1
 from repro.utils.rng import RngStream
+
+from .helpers import assert_same_split
 
 
 def test_get_scale_resolution(monkeypatch):
@@ -42,14 +47,28 @@ def test_build_data_and_model_dispatch():
 
 def test_zoo_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    builds = []
+
+    def counting_build_data(*args, **kwargs):
+        builds.append(1)
+        return build_data(*args, **kwargs)
+
+    monkeypatch.setattr(model_zoo, "build_data", counting_build_data)
     spec = SMOKE.workload("lenet-digits")
     first = load_workload(spec)
+    assert len(builds) == 1
     second = load_workload(spec)  # hits cache
+    assert len(builds) == 1  # the warm load regenerates nothing
     assert second.clean_accuracy == pytest.approx(first.clean_accuracy)
     state_a = first.model.state_dict()
     state_b = second.model.state_dict()
     for name in state_a:
         np.testing.assert_array_equal(state_a[name], state_b[name])
+    fresh = build_data(
+        spec, RngStream(spec.seed).child("zoo", spec.key).child("data")
+    )
+    assert_same_split(second.data, fresh)
+    assert_same_split(first.data, fresh)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +105,71 @@ def test_method_sweep_insitu_row(smoke_zoo):
     curve = outcome.curve("insitu")
     assert curve.accuracy_runs.shape == (1, 2)
     assert curve.achieved_nwc[1] > 0
+
+
+def test_batched_insitu_sweep_verifies_once_per_trial(smoke_zoo, monkeypatch):
+    # The in-situ trainer programs and verifies from its own substreams;
+    # the batched sweep adds no write-verify session of its own.
+    calls = []
+    real = CimAccelerator.write_verify_all
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CimAccelerator, "write_verify_all", counting)
+    run_method_sweep(
+        smoke_zoo, sigma=0.15, nwc_targets=(0.0, 0.3), mc_runs=2,
+        rng=RngStream(4).child("sweep"), eval_samples=60, sense_samples=128,
+        methods=("swim", "insitu"), insitu_lr=0.01, trial_block=1,
+    )
+    assert len(calls) == 2
+
+
+def test_batched_sweep_shares_uniform_targets(smoke_zoo, monkeypatch):
+    """NWC 0 and 1 deploy identical weights for every method: one
+    evaluation per block, rows bitwise-equal to per-method sweeps."""
+    methods = ("swim", "magnitude", "random")
+    targets = (0.0, 0.1, 0.5, 1.0)
+    kwargs = dict(
+        sigma=0.15, nwc_targets=targets, mc_runs=3, eval_samples=60,
+        sense_samples=128, trial_block=2,
+    )
+    calls = []
+    real = sweeps.evaluate_accuracy_trials
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "evaluate_accuracy_trials", counting)
+    shared = run_method_sweep(
+        smoke_zoo, rng=RngStream(6).child("sweep"), methods=methods, **kwargs
+    )
+    blocks = 2
+    assert len(calls) == blocks * (len(methods) * (len(targets) - 2) + 2)
+    monkeypatch.setattr(sweeps, "evaluate_accuracy_trials", real)
+
+    scalar = run_method_sweep(
+        smoke_zoo, rng=RngStream(6).child("sweep"), methods=methods,
+        batched=False, **kwargs,
+    )
+    for method in methods:
+        # A single-method sweep evaluates every target itself.
+        alone = run_method_sweep(
+            smoke_zoo, rng=RngStream(6).child("sweep"), methods=(method,),
+            **kwargs,
+        )
+        for attr in ("accuracy_runs", "achieved_nwc"):
+            a = getattr(shared.curve(method), attr)
+            b = getattr(alone.curve(method), attr)
+            assert a.tobytes() == b.tobytes(), (method, attr)
+        # No verify pulse reaches NWC 0: bitwise-equal to the scalar path.
+        assert (shared.curve(method).accuracy_runs[:, 0].tobytes()
+                == scalar.curve(method).accuracy_runs[:, 0].tobytes())
+        for column in (0, -1):
+            assert (shared.curve(method).accuracy_runs[:, column].tobytes()
+                    == shared.curve("swim").accuracy_runs[:, column].tobytes())
 
 
 def test_sweep_csv_round_trip(smoke_zoo, tmp_path):

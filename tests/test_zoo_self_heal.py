@@ -2,9 +2,9 @@
 
 Trained zoo models persist as ``zoo`` artifacts of the shared
 :class:`~repro.plan.cache.PlanArtifactCache`, so a truncated file is
-quarantined to ``*.corrupt`` and the model is retrained — bitwise-equal,
-because training is seeded by the workload spec — and the rerun's CSVs
-match the run before the damage.
+quarantined to ``*.corrupt``, the dataset regenerated and the model
+retrained — bitwise-equal, because both are seeded by the workload spec
+— and the rerun's CSVs match the run before the damage.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from repro.experiments.config import SMOKE
 from repro.nn import Trainer
 from repro.plan.cache import PlanArtifactCache
 
+from .helpers import assert_same_split
+
 
 def _truncate_zoo(cache_dir):
     (path,) = (cache_dir / "plan" / "v2").glob("zoo-*.npz")
@@ -34,6 +36,14 @@ def test_truncated_zoo_artifact_quarantined_and_retrained_once(
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     fits = []
     real_fit = Trainer.fit
+    builds = []
+    real_build_data = model_zoo.build_data
+
+    def counting_build_data(*args, **kwargs):
+        builds.append(1)
+        return real_build_data(*args, **kwargs)
+
+    monkeypatch.setattr(model_zoo, "build_data", counting_build_data)
 
     def counting_fit(self, *args, **kwargs):
         fits.append(1)
@@ -59,6 +69,8 @@ def test_truncated_zoo_artifact_quarantined_and_retrained_once(
     assert os.path.exists(f"{path}.corrupt")
     assert caches[-1].stats()["quarantined"] == 1
     assert len(fits) == 2  # retrained exactly once
+    assert len(builds) == 2  # ...on a regenerated dataset
+    assert_same_split(first.data, second.data)
     assert second.clean_accuracy == first.clean_accuracy
     state_a = first.model.state_dict()
     state_b = second.model.state_dict()
@@ -69,6 +81,8 @@ def test_truncated_zoo_artifact_quarantined_and_retrained_once(
 
     third = model_zoo.load_workload(spec)
     assert len(fits) == 2  # the healed artifact serves the next load
+    assert len(builds) == 2
+    assert_same_split(first.data, third.data)
     assert third.clean_accuracy == first.clean_accuracy
 
 
